@@ -33,6 +33,16 @@
 //! halves of the TCP-4KB bottleneck stage apart. A2→B stays local (GRO
 //! completion flows straight into the stack dispatch on the same CPU).
 //!
+//! The diagrams are drawn from the two stage tables, `FOUR_STAGES` and
+//! `FIVE_STAGES`, which are the one description of the layout the
+//! executor runs: per stage, its checkpoint id, the steering device of
+//! the hop into it (or none, for a backlog-local hop), the queue that
+//! feeds it (which names its tail-drop reason and enqueue trace event)
+//! and its wire-mode byte work. Every hop goes through one path: a
+//! per-policy `next_hop` picks the destination worker at a steering
+//! point, and one commit step either continues on this worker or stages
+//! the packet for the destination's ring.
+//!
 //! Workers exchange packets over the SPSC ring mesh; every steered hop
 //! registers with the global [`FlowTable`], and the registration stays
 //! held until the packet has executed the *following* stage (not just
@@ -88,9 +98,9 @@ pub const VETH_IF: u32 = 3;
 pub const PNIC_SPLIT_IF: u32 = 4;
 
 /// Number of pipeline stages in the unsplit path.
-pub const STAGES: usize = 4;
+pub const STAGES: usize = FOUR_STAGES.len();
 /// Number of pipeline stages with GRO splitting on.
-pub const SPLIT_STAGES: usize = 5;
+pub const SPLIT_STAGES: usize = FIVE_STAGES.len();
 
 /// What kind of traffic the injected descriptors stand for — it picks
 /// which `CostModel` stage extraction prices the pipeline.
@@ -286,11 +296,7 @@ impl Scenario {
 
     /// How many stages this scenario's pipeline runs.
     pub fn n_stages(&self) -> usize {
-        if self.split_gro {
-            SPLIT_STAGES
-        } else {
-            STAGES
-        }
+        stage_table(self.split_gro).len()
     }
 
     /// The modeled per-stage service costs for this scenario, before
@@ -332,12 +338,10 @@ impl Scenario {
 
 /// Stage labels for the unsplit / split pipelines.
 pub fn stage_labels(split: bool) -> &'static [&'static str] {
-    const FOUR: &[&str] = &CostModel::OVERLAY_STAGE_LABELS;
-    const FIVE: &[&str] = &CostModel::OVERLAY_STAGE_LABELS_SPLIT;
     if split {
-        FIVE
+        &CostModel::OVERLAY_STAGE_LABELS_SPLIT
     } else {
-        FOUR
+        &CostModel::OVERLAY_STAGE_LABELS
     }
 }
 
@@ -573,24 +577,12 @@ impl RunOutput {
     /// Wire mode: malformed-frame drops summed across workers, by the
     /// stage that caught them.
     pub fn malformed_per_stage(&self) -> Vec<u64> {
-        let mut per_stage = vec![0u64; self.stages()];
-        for w in &self.workers_stats {
-            for (acc, m) in per_stage.iter_mut().zip(w.malformed_per_stage.iter()) {
-                *acc += m;
-            }
-        }
-        per_stage
+        self.sum_per_stage(|w| &w.malformed_per_stage)
     }
 
     /// Wire mode: bytes touched per stage summed across workers.
     pub fn bytes_per_stage(&self) -> Vec<u64> {
-        let mut per_stage = vec![0u64; self.stages()];
-        for w in &self.workers_stats {
-            for (acc, b) in per_stage.iter_mut().zip(w.bytes_per_stage.iter()) {
-                *acc += b;
-            }
-        }
-        per_stage
+        self.sum_per_stage(|w| &w.bytes_per_stage)
     }
 
     /// Flow-verdict cache counters summed across workers (all zero
@@ -653,10 +645,15 @@ impl RunOutput {
 
     /// Stage executions summed across workers, by stage index.
     pub fn processed_per_stage(&self) -> Vec<u64> {
+        self.sum_per_stage(|w| &w.processed)
+    }
+
+    /// One per-stage column of [`WorkerStats`], summed across workers.
+    fn sum_per_stage(&self, column: impl Fn(&WorkerStats) -> &[u64]) -> Vec<u64> {
         let mut per_stage = vec![0u64; self.stages()];
         for w in &self.workers_stats {
-            for (acc, p) in per_stage.iter_mut().zip(w.processed.iter()) {
-                *acc += p;
+            for (acc, v) in per_stage.iter_mut().zip(column(w)) {
+                *acc += v;
             }
         }
         per_stage
@@ -730,57 +727,148 @@ impl RunOutput {
     }
 }
 
-/// Stage checkpoint ids, by stage index. The split pipeline gives the
-/// GRO half-stage the synthetic split device's checkpoint.
-fn checkpoint(split: bool, stage: u8) -> u32 {
-    if split {
-        match stage {
-            0 => PNIC_IF,
-            1 => PNIC_SPLIT_IF,
-            2 => PNIC_IF | STAGE_B_CHECK,
-            3 => VXLAN_IF,
-            4 => VETH_IF,
-            _ => unreachable!("no split stage {stage}"),
+/// The queue that feeds a stage. It names both the tail-drop reason when
+/// the queue is full and the trace event of an enqueue into it.
+#[derive(Debug, Clone, Copy)]
+enum Queue {
+    /// The NIC rx ring the injector fills.
+    Ring,
+    /// A CPU's backlog (`enqueue_to_backlog`).
+    Backlog,
+    /// The vxlan device's gro_cell.
+    GroCell,
+}
+
+impl Queue {
+    fn drop_reason(self) -> DropReason {
+        match self {
+            Queue::Ring => DropReason::Ring,
+            Queue::Backlog => DropReason::Backlog,
+            Queue::GroCell => DropReason::GroCell,
         }
-    } else {
-        match stage {
-            0 => PNIC_IF,
-            1 => PNIC_IF | STAGE_B_CHECK,
-            2 => VXLAN_IF,
-            3 => VETH_IF,
-            _ => unreachable!("no stage {stage}"),
+    }
+
+    fn enqueue(self, cpu: usize, pkt: u64, flow: u64, qlen: usize) -> EventKind {
+        match self {
+            Queue::Ring => EventKind::RingEnqueue {
+                queue: cpu,
+                pkt,
+                flow,
+                qlen,
+            },
+            Queue::Backlog => EventKind::BacklogEnqueue {
+                cpu,
+                pkt,
+                flow,
+                qlen,
+            },
+            Queue::GroCell => EventKind::GroCellEnqueue {
+                cpu,
+                pkt,
+                flow,
+                qlen,
+            },
         }
     }
 }
 
-/// The steering device for the hop *into* `stage`, or `None` when the
-/// hop is backlog-local (the driver poll — or the GRO half — feeding
-/// its own CPU's backlog, where no steering point exists).
-fn steer_ifindex(split: bool, stage: u8) -> Option<u32> {
-    if split {
-        match stage {
-            1 => Some(PNIC_SPLIT_IF),
-            3 => Some(VXLAN_IF),
-            4 => Some(VETH_IF),
-            _ => None,
-        }
-    } else {
-        match stage {
-            2 => Some(VXLAN_IF),
-            3 => Some(VETH_IF),
-            _ => None,
+/// The byte work a stage performs in wire mode (see [`wire_stage_work`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireWork {
+    /// pNIC poll (split A1): outer Ethernet/IP parse, host-MAC filter,
+    /// outer UDP checksum verify.
+    Verify,
+    /// GRO half (split A2): coalescing of the segment train.
+    Coalesce,
+    /// The unsplit pNIC poll: verify, then coalesce.
+    VerifyCoalesce,
+    /// Outer stack: zero-copy VXLAN decap — [`vxlan_decap`] records the
+    /// inner frame as an offset range, no bytes move.
+    Decap,
+    /// gro_cell (bridge): strict FDB lookup over both inner MACs, the
+    /// inner 5-tuple dissect and the conntrack update.
+    Bridge,
+    /// Container stack: inner L4 checksum verify and the payload
+    /// delivery digest.
+    Deliver,
+}
+
+/// One row of a pipeline layout: everything the executor needs to know
+/// about a stage besides its cost.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    /// Checkpoint id the stage stamps into traces, the hop digest and the
+    /// ordering audit.
+    checkpoint: u32,
+    /// Steering device of the hop *into* this stage; `None` means the
+    /// hop is backlog-local (the driver poll, or the GRO half, feeding
+    /// its own CPU's backlog, where no steering point exists). Stage 0 is
+    /// entered from the injector's RSS routing instead.
+    steer: Option<u32>,
+    /// The queue that feeds the stage.
+    queue: Queue,
+    /// The stage's wire-mode byte work.
+    wire: WireWork,
+}
+
+impl Stage {
+    const fn new(checkpoint: u32, steer: Option<u32>, queue: Queue, wire: WireWork) -> Stage {
+        Stage {
+            checkpoint,
+            steer,
+            queue,
+            wire,
         }
     }
 }
 
-/// What feeds each stage (for drop classification on a full ring).
-fn drop_reason_into(split: bool, stage: u8) -> DropReason {
-    let gro_cell_stage = if split { 3 } else { 2 };
-    match stage {
-        0 => DropReason::Ring,
-        s if s == gro_cell_stage => DropReason::GroCell,
-        _ => DropReason::Backlog,
+/// The four-stage layout: A pnic_poll → B outer_stack → C gro_cell →
+/// D container_stack.
+#[rustfmt::skip]
+const FOUR_STAGES: [Stage; 4] = [
+    //         checkpoint               steer into           queue            wire work
+    Stage::new(PNIC_IF,                 None,                Queue::Ring,     WireWork::VerifyCoalesce),
+    Stage::new(PNIC_IF | STAGE_B_CHECK, None,                Queue::Backlog,  WireWork::Decap),
+    Stage::new(VXLAN_IF,                Some(VXLAN_IF),      Queue::GroCell,  WireWork::Bridge),
+    Stage::new(VETH_IF,                 Some(VETH_IF),       Queue::Backlog,  WireWork::Deliver),
+];
+
+/// The five-stage layout with GRO splitting: the pNIC poll becomes A1
+/// alloc and A2 gro, and the GRO half is steered by the synthetic
+/// [`PNIC_SPLIT_IF`] device.
+#[rustfmt::skip]
+const FIVE_STAGES: [Stage; 5] = [
+    //         checkpoint               steer into           queue            wire work
+    Stage::new(PNIC_IF,                 None,                Queue::Ring,     WireWork::Verify),
+    Stage::new(PNIC_SPLIT_IF,           Some(PNIC_SPLIT_IF), Queue::Backlog,  WireWork::Coalesce),
+    Stage::new(PNIC_IF | STAGE_B_CHECK, None,                Queue::Backlog,  WireWork::Decap),
+    Stage::new(VXLAN_IF,                Some(VXLAN_IF),      Queue::GroCell,  WireWork::Bridge),
+    Stage::new(VETH_IF,                 Some(VETH_IF),       Queue::Backlog,  WireWork::Deliver),
+];
+
+/// The layout of the unsplit or split pipeline.
+fn stage_table(split: bool) -> &'static [Stage] {
+    if split {
+        &FIVE_STAGES
+    } else {
+        &FOUR_STAGES
     }
+}
+
+/// Releases both in-flight guards a packet holds and hands its wire
+/// buffer back to the slab pool: the last step of every packet, whether
+/// it delivers or drops. `lc` is the retiring worker's Lamport clock
+/// (folded with the packet's own). Returns whether a pool-backed buffer
+/// was recycled.
+fn retire(pkt: &mut DpPkt, lc: u64) -> bool {
+    let lc = lc.max(pkt.lc);
+    for guard in pkt.guard.take().into_iter().chain(pkt.prev_guard.take()) {
+        release(&guard, lc);
+    }
+    pkt.desc
+        .wire
+        .take()
+        .is_some_and(falcon_packet::slab::recycle)
 }
 
 /// Per-worker wire-mode context: what the byte-level stage work needs
@@ -811,19 +899,8 @@ fn observe_conntrack(conntrack: Option<&mut ConnShard>, buf: &WireBuf, seq: u64)
     }
 }
 
-/// The real byte slice of work each pipeline stage performs in wire
-/// mode, mirroring the kernel path the stage stands for:
-///
-/// - pNIC poll: outer Ethernet/IP parse, host-MAC filter, outer UDP
-///   checksum verify — and, on the unsplit pipeline, GRO coalescing of
-///   the segment train (the split pipeline runs coalescing as its own
-///   A2 half-stage).
-/// - outer stack: zero-copy VXLAN decap — [`vxlan_decap`] records the
-///   inner frame as an offset range, no bytes move.
-/// - gro_cell (bridge): strict FDB lookup over both inner MACs plus
-///   the inner 5-tuple dissect.
-/// - container stack: inner L4 checksum verify and the payload
-///   delivery digest.
+/// The real byte slice of work a pipeline stage performs in wire mode,
+/// mirroring the kernel path the stage stands for (see [`WireWork`]).
 ///
 /// Returns the delivery evidence at the last stage, `None` earlier;
 /// the `bool` is true when a fresh flow-cache hit replaced the stage's
@@ -849,39 +926,38 @@ fn observe_conntrack(conntrack: Option<&mut ConnShard>, buf: &WireBuf, seq: u64)
 /// The delivery stage is never cached: the inner L4 checksum and the
 /// payload digest cover per-packet bytes, so they always run — cached
 /// and uncached runs drop payload corruption at the same stage.
-#[allow(clippy::too_many_arguments)]
 fn wire_stage_work(
     wire: &WireCtx,
-    split: bool,
-    stage: u8,
+    work: WireWork,
     buf: &mut WireBuf,
     mut cache: Option<&mut FlowCache>,
     cache_key: &mut Option<u64>,
     conntrack: Option<&mut ConnShard>,
     seq: u64,
 ) -> Result<(Option<Delivery>, bool), WireError> {
-    let op = if split { stage } else { stage + 1 };
     // Cache consult: single-segment frames only (a pre-GRO segment
     // train has no stable key until coalescing re-encapsulates it).
     let mut consulted_miss = false;
     if let Some(cache) = cache.as_deref_mut() {
-        if op < 4 && buf.segs.len() == 1 {
+        if work != WireWork::Deliver && buf.segs.len() == 1 {
             if cache_key.is_none() {
                 *cache_key = flow_cache_key(&buf.segs[0]);
             }
             if let Some(key) = *cache_key {
                 match cache.lookup(key, wire.fdb.epoch()) {
-                    Lookup::Fresh(v) => match op {
+                    Lookup::Fresh(v) => match work {
                         // The verdict proves the outer envelope already
                         // verified byte-identically (modulo fields the
                         // delivery stage re-checks), so the pNIC verify
                         // is redundant — but its driver budget is not.
-                        0 | 1 => return Ok((None, false)),
-                        2 => {
+                        WireWork::Verify | WireWork::Coalesce | WireWork::VerifyCoalesce => {
+                            return Ok((None, false))
+                        }
+                        WireWork::Decap => {
                             buf.inner = Some(v.inner_start as usize..v.inner_end as usize);
                             return Ok((None, true));
                         }
-                        3 => {
+                        WireWork::Bridge => {
                             // The cached verdict stands in for the FDB
                             // lookups, but the bridge stage is stateful
                             // now: the conntrack update is per-packet
@@ -891,35 +967,30 @@ fn wire_stage_work(
                             observe_conntrack(conntrack, buf, seq);
                             return Ok((None, true));
                         }
-                        _ => unreachable!("delivery is never cached"),
+                        WireWork::Deliver => unreachable!("delivery is never cached"),
                     },
                     Lookup::Stale | Lookup::Miss => consulted_miss = true,
                 }
             }
         }
     }
-    let result =
-        match op {
-            // Split stage 0 verifies only; unsplit stage 0 (op 1 skipped
-            // via the offset) both verifies and coalesces.
-            0 => pnic_verify(buf, wire.host_mac).map(|()| None),
-            1 => {
-                if !split {
-                    pnic_verify(buf, wire.host_mac)?;
-                }
-                gro_coalesce(buf).map(|()| None)
-            }
-            2 => vxlan_decap(buf, wire.vni).map(|()| None),
-            3 => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
-                // Slow-path bridge pass: the frame just proved both FDB
-                // entries and a valid 5-tuple, so the stateful half of
-                // the stage applies its conntrack observation.
-                observe_conntrack(conntrack, buf, seq);
-                None
-            }),
-            4 => deliver_verify(buf).map(Some),
-            _ => unreachable!("no wire work for stage {stage}"),
-        };
+    let result = match work {
+        WireWork::Verify => pnic_verify(buf, wire.host_mac).map(|()| None),
+        WireWork::Coalesce => gro_coalesce(buf).map(|()| None),
+        WireWork::VerifyCoalesce => {
+            pnic_verify(buf, wire.host_mac)?;
+            gro_coalesce(buf).map(|()| None)
+        }
+        WireWork::Decap => vxlan_decap(buf, wire.vni).map(|()| None),
+        WireWork::Bridge => bridge_lookup(buf, &wire.fdb.read()).map(|_port| {
+            // Slow-path bridge pass: the frame just proved both FDB
+            // entries and a valid 5-tuple, so the stateful half of
+            // the stage applies its conntrack observation.
+            observe_conntrack(conntrack, buf, seq);
+            None
+        }),
+        WireWork::Deliver => deliver_verify(buf).map(Some),
+    };
     // Fill on a consulted miss whose slow work just passed: prove the
     // whole chain once and cache the verdict, so this flow's remaining
     // stages — and every later packet of the flow — hit. The epoch is
@@ -956,7 +1027,8 @@ struct WorkerCtx {
     /// multi-socket host the plan keeps adjacent workers on one node).
     core: usize,
     stage_ns: Vec<u64>,
-    split: bool,
+    /// The pipeline layout ([`FOUR_STAGES`] or [`FIVE_STAGES`]).
+    stages: &'static [Stage],
     labels: &'static [&'static str],
     locality_penalty_ns: u64,
     napi_budget: usize,
@@ -1141,57 +1213,41 @@ impl WorkerCtx {
             self.depths.sub(dst, m - accepted);
             if self.tracer.is_enabled() {
                 let qlen = self.depths.depth(dst);
-                let gro_cell_stage: u8 = if self.split { 3 } else { 2 };
                 for &(pkt_id, flow, stage_in) in meta.iter().take(accepted) {
-                    let kind = if stage_in == gro_cell_stage {
-                        EventKind::GroCellEnqueue {
-                            cpu: dst,
-                            pkt: pkt_id,
-                            flow,
-                            qlen,
-                        }
-                    } else {
-                        EventKind::BacklogEnqueue {
-                            cpu: dst,
-                            pkt: pkt_id,
-                            flow,
-                            qlen,
-                        }
-                    };
-                    self.tracer.emit(now, kind);
+                    let queue = self.stages[stage_in as usize].queue;
+                    self.tracer
+                        .emit(now, queue.enqueue(dst, pkt_id, flow, qlen));
                 }
             }
             // Tail drop, kernel style: the stage's input queue is full
             // and nobody retries. `staged` now holds exactly the
             // rejected suffix.
-            for mut pkt in staged.drain(..) {
-                if let Some(guard) = pkt.guard.as_deref() {
-                    release(guard, self.lc);
-                }
-                if let Some(prev) = pkt.prev_guard.as_deref() {
-                    release(prev, self.lc);
-                }
-                if let Some(wire) = pkt.desc.wire.take() {
-                    if falcon_packet::slab::recycle(wire) {
-                        self.stats.slab_recycles += 1;
-                    }
-                }
-                let reason = drop_reason_into(self.split, pkt.stage);
-                self.stats.drops[reason.index()] += 1;
-                self.tracer.emit(
-                    now,
-                    EventKind::QueueDrop {
-                        reason,
-                        cpu: dst,
-                        pkt: pkt.desc.id.0,
-                        flow: pkt.desc.flow,
-                    },
-                );
-                self.dropped_delta += 1;
+            for pkt in staged.drain(..) {
+                let reason = self.stages[pkt.stage as usize].queue.drop_reason();
+                self.drop_packet(pkt, reason, dst, now);
             }
             // Hand the (emptied) buffer back so its capacity survives.
             self.outbox[dst] = staged;
         }
+    }
+
+    /// Drops a packet for `reason` at `cpu`'s queue: retires it and
+    /// accounts the drop in the counters and the trace.
+    fn drop_packet(&mut self, mut pkt: DpPkt, reason: DropReason, cpu: usize, at_ns: u64) {
+        if retire(&mut pkt, self.lc) {
+            self.stats.slab_recycles += 1;
+        }
+        self.stats.drops[reason.index()] += 1;
+        self.tracer.emit(
+            at_ns,
+            EventKind::QueueDrop {
+                reason,
+                cpu,
+                pkt: pkt.desc.id.0,
+                flow: pkt.desc.flow,
+            },
+        );
+        self.dropped_delta += 1;
     }
 
     /// Folds locally-accumulated delivery/drop counts into the shared
@@ -1280,7 +1336,7 @@ impl WorkerCtx {
         let last_stage = (self.stage_ns.len() - 1) as u8;
         loop {
             let stage = pkt.stage;
-            let cp = checkpoint(self.split, stage);
+            let cp = self.stages[stage as usize].checkpoint;
             let start = self.epoch.now_ns();
             let queued_ns = start.saturating_sub(pkt.enqueued_ns);
             let mut service_ns = self.stage_ns[stage as usize];
@@ -1296,7 +1352,7 @@ impl WorkerCtx {
             let mut delivery = None;
             let mut cache_hit_skip = false;
             if let Some(wire) = self.wire.as_ref() {
-                let split = self.split;
+                let work = self.stages[stage as usize].wire;
                 let cache = self.cache.as_mut();
                 let conntrack = self.conntrack.as_mut();
                 let cache_key = &mut pkt.cache_key;
@@ -1307,7 +1363,7 @@ impl WorkerCtx {
                     .as_deref_mut()
                     .ok_or(WireError::NoBuffer)
                     .and_then(|buf| {
-                        wire_stage_work(wire, split, stage, buf, cache, cache_key, conntrack, seq)
+                        wire_stage_work(wire, work, buf, cache, cache_key, conntrack, seq)
                             .map(|(d, skip)| (d, skip, falcon_wire::stage_touched_bytes(buf)))
                     });
                 match outcome {
@@ -1326,30 +1382,9 @@ impl WorkerCtx {
                         self.stats.busy_ns += wire_ns;
                         self.stats.stall.busy_ns += now - *t;
                         *t = now;
-                        let lc = self.lc.max(pkt.lc);
-                        if let Some(guard) = pkt.guard.take() {
-                            release(&guard, lc);
-                        }
-                        if let Some(prev) = pkt.prev_guard.take() {
-                            release(&prev, lc);
-                        }
-                        if let Some(wire) = pkt.desc.wire.take() {
-                            if falcon_packet::slab::recycle(wire) {
-                                self.stats.slab_recycles += 1;
-                            }
-                        }
-                        self.stats.drops[DropReason::Malformed.index()] += 1;
                         self.stats.malformed_per_stage[stage as usize] += 1;
-                        self.tracer.emit(
-                            self.epoch.now_ns(),
-                            EventKind::QueueDrop {
-                                reason: DropReason::Malformed,
-                                cpu: self.me,
-                                pkt: pkt.desc.id.0,
-                                flow: pkt.desc.flow,
-                            },
-                        );
-                        self.dropped_delta += 1;
+                        let at_ns = self.epoch.now_ns();
+                        self.drop_packet(pkt, DropReason::Malformed, self.me, at_ns);
                         return;
                     }
                 }
@@ -1470,22 +1505,18 @@ impl WorkerCtx {
                         hop_hash: pkt.hop_digest,
                     },
                 );
-                if let Some(guard) = pkt.guard.take() {
-                    release(&guard, self.lc);
-                }
                 if let Some(d) = delivery {
                     self.stats.bytes_delivered += d.payload_len;
                     self.stats
                         .digests
                         .push((pkt.desc.flow, pkt.desc.seq, d.digest));
                 }
-                // The packet is consumed: hand its wire buffer back to
-                // the injector's slab pool in one shell-ring push. A
-                // heap-built buffer recycles nothing and just drops.
-                if let Some(wire) = pkt.desc.wire.take() {
-                    if falcon_packet::slab::recycle(wire) {
-                        self.stats.slab_recycles += 1;
-                    }
+                // The packet is consumed: its routing releases and its
+                // wire buffer goes back to the injector's slab pool in
+                // one shell-ring push. A heap-built buffer recycles
+                // nothing and just drops.
+                if retire(&mut pkt, self.lc) {
+                    self.stats.slab_recycles += 1;
                 }
                 self.delivered_delta += 1;
                 return;
@@ -1495,157 +1526,125 @@ impl WorkerCtx {
             pkt.stage += 1;
             pkt.enqueued_ns = done;
 
-            let Some(ifindex) = steer_ifindex(self.split, pkt.stage) else {
-                // A backlog-local hop (A→B unsplit, A2→B split): the
-                // poll loop feeds its own CPU's backlog, no steering
-                // point exists there. The upstream routing's guard
-                // rides along until the stage after next has run.
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        done,
-                        EventKind::BacklogEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen: self.depths.depth(self.me),
-                        },
-                    );
+            // The hop into the next stage. A backlog-local hop (A→B
+            // unsplit, A2→B split) stays on this worker: the poll loop
+            // feeds its own CPU's backlog, no steering point exists
+            // there, and the upstream routing's guard rides along until
+            // the stage after next has run. A steering point asks the
+            // policy, and its bookkeeping is charged to the guard bucket.
+            let next = self.stages[pkt.stage as usize];
+            let dst = match next.steer {
+                None => self.me,
+                Some(ifindex) => {
+                    let dst = self.next_hop(&mut pkt, ifindex, done);
+                    // Guard boundary: the policy choice, flow-table
+                    // routing and hand-over-hand guard exchange since
+                    // the busy boundary.
+                    let now = self.epoch.now_ns();
+                    self.stats.stall.guard_wait_ns += now - *t;
+                    *t = now;
+                    dst
                 }
-                continue;
             };
-
-            // SCR run-to-completion: under Replicate a packet executes
-            // every remaining stage on the worker it landed on — no
-            // policy choice, no flow-table registration, no guards.
-            // Cross-worker state consistency is the conntrack shards'
-            // job, not the steering layer's. Chaos steering still
-            // rotates packets across workers (guard-free hops) so the
-            // merge path gets exercised under adversarial placement.
-            if self.policy.kind() == PolicyKind::Replicate {
-                self.stats.decisions += 1;
-                let mut dst = self.me;
-                if let Some(rot) = pkt.desc.seq.checked_div(self.chaos_steer_period) {
-                    let n = self.outbound.len();
-                    dst = (rot as usize + pkt.stage as usize) % n;
-                }
-                let now = self.epoch.now_ns();
-                self.stats.stall.guard_wait_ns += now - *t;
-                *t = now;
-                if dst == self.me {
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            done,
-                            EventKind::BacklogEnqueue {
-                                cpu: self.me,
-                                pkt: pkt.desc.id.0,
-                                flow: pkt.desc.flow,
-                                qlen: self.depths.depth(self.me),
-                            },
-                        );
-                    }
-                    continue;
-                }
-                self.outbox[dst].push(pkt);
-                return;
-            }
-            // A steering point (A1→A2 when split, B→C, C→D). Resolve
-            // the policy's preference, then the flow table's
-            // order-safe verdict. The load signal folds this worker's
-            // own staged-but-unpublished packets back in (`load_plus`),
-            // so the only staleness other workers' staging introduces
-            // is bounded by one NAPI budget per peer.
-            let mut choice = self.policy.choose_by(pkt.desc.rx_hash, ifindex, |c| {
-                self.depths.load_plus(c, self.outbox[c].len())
-            });
-            // Chaos steering (tests only, None when the period is 0):
-            // rotate the preferred worker so nearly every packet asks
-            // the flow table for a migration, hammering the in-flight
-            // guard.
-            if let Some(rot) = pkt.desc.seq.checked_div(self.chaos_steer_period) {
-                let n = self.outbound.len();
-                choice.worker = (rot as usize + pkt.stage as usize) % n;
-                choice.second = false;
-            }
-            self.stats.decisions += 1;
-            if choice.second {
-                self.stats.second_choices += 1;
-            }
-            let route = self.flows.route(pkt.desc.flow, ifindex, choice.worker);
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    done,
-                    EventKind::FalconChoice {
-                        ifindex,
-                        hash: pkt.desc.rx_hash,
-                        first: choice.first,
-                        chosen: route.worker,
-                        second: choice.second,
-                    },
-                );
-                if route.migrated {
-                    self.tracer.emit(
-                        done,
-                        EventKind::FlowMigration {
-                            flow: pkt.desc.flow,
-                            ifindex,
-                            from: self.me,
-                            to: route.worker,
-                        },
-                    );
-                }
-            }
-            if route.migrated {
-                self.stats.migrations += 1;
-            }
-            // Hand-over-hand: the old routing's guard becomes the
-            // previous-hop hold, released only after the new stage
-            // executes.
-            pkt.prev_guard = pkt.guard.take();
-            pkt.guard = Some(route.guard);
-            // Fold the guard's release clock in: if this routing was a
-            // migration, the drained predecessor's tickets now
-            // happen-before everything this packet stamps next.
-            pkt.lc = pkt.lc.max(route.lc);
-            // Guard boundary: the policy choice, flow-table routing and
-            // hand-over-hand guard exchange since the busy boundary.
-            let now = self.epoch.now_ns();
-            self.stats.stall.guard_wait_ns += now - *t;
-            *t = now;
-            let stage_in = pkt.stage;
-            let gro_cell_stage: u8 = if self.split { 3 } else { 2 };
-            if route.worker == self.me {
-                // Steered to ourselves: still a queue insert
-                // conceptually, just with no ring crossing.
+            if dst == self.me {
+                // Still a queue insert conceptually, just with no ring
+                // crossing.
                 if self.tracer.is_enabled() {
                     let qlen = self.depths.depth(self.me);
-                    let kind = if stage_in == gro_cell_stage {
-                        EventKind::GroCellEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen,
-                        }
-                    } else {
-                        EventKind::BacklogEnqueue {
-                            cpu: self.me,
-                            pkt: pkt.desc.id.0,
-                            flow: pkt.desc.flow,
-                            qlen,
-                        }
-                    };
+                    let kind = next
+                        .queue
+                        .enqueue(self.me, pkt.desc.id.0, pkt.desc.flow, qlen);
                     self.tracer.emit(done, kind);
                 }
                 continue;
             }
             // Stage toward the destination; the batch flush after this
             // ring's drain publishes it (ring + gauge) in one shot.
-            // Ordering is safe because the staged packet still holds
-            // both guards: the (flow, device) pair can't migrate while
-            // it sits here, so all in-flight same-flow packets for the
-            // routed stage keep sharing this worker's FIFO path.
-            self.outbox[route.worker].push(pkt);
+            // Ordering is safe because a staged packet under a
+            // serializing policy still holds both guards: the (flow,
+            // device) pair can't migrate while it sits here, so all
+            // in-flight same-flow packets for the routed stage keep
+            // sharing this worker's FIFO path.
+            self.outbox[dst].push(pkt);
             return;
         }
+    }
+
+    /// The worker that runs the packet's next stage, at the steering
+    /// point keyed by `ifindex`.
+    ///
+    /// Replicate is SCR run-to-completion: the packet stays on the
+    /// worker it landed on — no policy choice, no flow-table
+    /// registration, no guards. Cross-worker state consistency is the
+    /// conntrack shards' job, not the steering layer's.
+    ///
+    /// Vanilla and Falcon resolve the policy's preference, then the flow
+    /// table's order-safe verdict, and swap the new routing's guard in
+    /// hand over hand. The load signal folds this worker's own
+    /// staged-but-unpublished packets back in (`load_plus`), so the only
+    /// staleness other workers' staging introduces is bounded by one
+    /// NAPI budget per peer.
+    ///
+    /// Chaos steering (tests only, off when the period is 0) overrides
+    /// every policy with a worker that rotates per packet, so nearly
+    /// every hop asks for a migration (guard-free under Replicate, which
+    /// exercises the conntrack merge under adversarial placement).
+    fn next_hop(&mut self, pkt: &mut DpPkt, ifindex: u32, done: u64) -> usize {
+        self.stats.decisions += 1;
+        let chaos = pkt
+            .desc
+            .seq
+            .checked_div(self.chaos_steer_period)
+            .map(|rot| (rot as usize + pkt.stage as usize) % self.outbound.len());
+        if self.policy.kind() == PolicyKind::Replicate {
+            return chaos.unwrap_or(self.me);
+        }
+        let mut choice = self.policy.choose_by(pkt.desc.rx_hash, ifindex, |c| {
+            self.depths.load_plus(c, self.outbox[c].len())
+        });
+        if let Some(worker) = chaos {
+            choice.worker = worker;
+            choice.second = false;
+        }
+        if choice.second {
+            self.stats.second_choices += 1;
+        }
+        let route = self.flows.route(pkt.desc.flow, ifindex, choice.worker);
+        if self.tracer.is_enabled() {
+            self.tracer.emit(
+                done,
+                EventKind::FalconChoice {
+                    ifindex,
+                    hash: pkt.desc.rx_hash,
+                    first: choice.first,
+                    chosen: route.worker,
+                    second: choice.second,
+                },
+            );
+            if route.migrated {
+                self.tracer.emit(
+                    done,
+                    EventKind::FlowMigration {
+                        flow: pkt.desc.flow,
+                        ifindex,
+                        from: self.me,
+                        to: route.worker,
+                    },
+                );
+            }
+        }
+        if route.migrated {
+            self.stats.migrations += 1;
+        }
+        // Hand-over-hand: the old routing's guard becomes the
+        // previous-hop hold, released only after the new stage
+        // executes.
+        pkt.prev_guard = pkt.guard.replace(route.guard);
+        // Fold the guard's release clock in: if this routing was a
+        // migration, the drained predecessor's tickets now
+        // happen-before everything this packet stamps next.
+        pkt.lc = pkt.lc.max(route.lc);
+        route.worker
     }
 }
 
@@ -1834,15 +1833,9 @@ impl Injector {
                 Ok(()) => {
                     self.bytes_injected += pkt_bytes;
                     if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            self.epoch.now_ns(),
-                            EventKind::RingEnqueue {
-                                queue: dst,
-                                pkt: id,
-                                flow,
-                                qlen: self.depths.depth(dst),
-                            },
-                        );
+                        let qlen = self.depths.depth(dst);
+                        let kind = Queue::Ring.enqueue(dst, id, flow, qlen);
+                        self.tracer.emit(self.epoch.now_ns(), kind);
                     }
                     return true;
                 }
@@ -1850,19 +1843,14 @@ impl Injector {
                     self.depths.dec(dst);
                     yields += 1;
                     if yields >= INJECT_MAX_YIELDS {
-                        if let Some(guard) = back.guard.as_deref() {
-                            release(guard, back.lc);
-                        }
-                        // Recycle the dropped packet's wire buffer so a
-                        // wedged worker can't bleed the slab pool dry.
-                        if let Some(wire) = back.desc.wire.take() {
-                            falcon_packet::slab::recycle(wire);
-                        }
+                        // Recycle the dropped packet's wire buffer too, so
+                        // a wedged worker can't bleed the slab pool dry.
+                        retire(&mut back, 0);
                         self.inject_drops += 1;
                         self.tracer.emit(
                             self.epoch.now_ns(),
                             EventKind::QueueDrop {
-                                reason: DropReason::Ring,
+                                reason: Queue::Ring.drop_reason(),
                                 cpu: dst,
                                 pkt: id,
                                 flow,
@@ -2132,7 +2120,7 @@ where
             me,
             core: pin_plan[me],
             stage_ns: stage_ns.clone(),
-            split: scenario.split_gro,
+            stages: stage_table(scenario.split_gro),
             labels: stage_labels(scenario.split_gro),
             locality_penalty_ns,
             napi_budget,
@@ -2528,6 +2516,33 @@ mod tests {
         let report = falcon_trace::check_stream(&events);
         assert!(report.ok(), "conservation report failed: {report:?}");
         assert_eq!(report.delivered, out.delivered());
+    }
+
+    /// Every delivered packet entered the gro_cell once, and the trace
+    /// names that enqueue as a gro_cell enqueue under every policy —
+    /// including Replicate, whose run-to-completion hops stay on one
+    /// worker.
+    #[test]
+    fn gro_cell_enqueues_are_traced_under_every_policy() {
+        for policy in [
+            PolicyKind::Vanilla,
+            PolicyKind::Falcon,
+            PolicyKind::Replicate,
+        ] {
+            let mut s = quick(policy, 1);
+            s.wire = true;
+            s.packets = 200;
+            s.trace_capacity = 16_384;
+            let out = run_scenario(&s);
+            assert_eq!(out.trace_overflow(), 0, "trace ring too small for test");
+            let gro_cell = out
+                .merged_events()
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::GroCellEnqueue { .. }))
+                .count() as u64;
+            assert!(out.delivered() > 0);
+            assert_eq!(gro_cell, out.delivered(), "{policy:?}");
+        }
     }
 
     #[test]

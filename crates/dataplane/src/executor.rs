@@ -43,14 +43,17 @@
 //! point, and one commit step either continues on this worker or stages
 //! the packet for the destination's ring.
 //!
-//! Workers exchange packets over the SPSC ring mesh; every steered hop
-//! registers with the global [`FlowTable`], and the registration stays
-//! held until the packet has executed the *following* stage (not just
-//! the routed one). That extra hold is the reordering guard: because
-//! the ring mesh is per-(src, dst), two same-flow packets that reach
-//! one stage's worker from *different* upstream workers travel on
-//! different rings and the fixed-order inbound sweep could pop them
-//! inverted. Holding the previous hop's registration through the next
+//! Workers exchange packets over the SPSC ring mesh. The injector
+//! looks each packet's flow up once in the global [`FlowTable`] and the
+//! packet carries the flow's `FlowRecord` from then on: every steered
+//! hop registers with the record's guard for the hop's device in one
+//! CAS, with no lookup, lock or reference count on the worker, and the
+//! registration stays held until the packet has executed the
+//! *following* stage (not just the routed one). That extra hold is the
+//! reordering guard: because the ring mesh is per-(src, dst), two
+//! same-flow packets that reach one stage's worker from *different*
+//! upstream workers travel on different rings and the fixed-order
+//! inbound sweep could pop them inverted. Holding the previous hop's registration through the next
 //! stage means a (flow, device) pair can only migrate when no packet of
 //! that flow sits anywhere between that stage's routing decision and
 //! the next stage's completion — so all in-flight same-flow packets for
@@ -83,7 +86,7 @@ use falcon_wire::{
 use crate::affinity::{available_cores, clamp_workers, pin_current_thread};
 use crate::spin::{spin_for_ns, Backoff, Epoch, IdleTier};
 use crate::spsc::{ring, Consumer, Producer};
-use crate::steer::{release, DepthGauge, FlowTable, InflightGuard, Policy, PolicyKind};
+use crate::steer::{release, DepthGauge, FlowRecord, FlowTable, Policy, PolicyKind, STEER_DEVICES};
 
 /// Ifindex of the physical NIC (stage A, and B via the stage-B flag).
 pub const PNIC_IF: u32 = 1;
@@ -96,6 +99,8 @@ pub const VETH_IF: u32 = 3;
 /// id is what lets Falcon's `(flow, device)` hash steer it to a core
 /// distinct from the allocation half.
 pub const PNIC_SPLIT_IF: u32 = 4;
+// A flow record holds one guard per steering device, indexed by ifindex.
+const _: () = assert!(PNIC_SPLIT_IF as usize == STEER_DEVICES);
 
 /// Number of pipeline stages in the unsplit path.
 pub const STAGES: usize = FOUR_STAGES.len();
@@ -176,7 +181,7 @@ pub struct Scenario {
     /// Test-only chaos knob: when nonzero, every steered hop overrides
     /// the policy's preference with a worker that rotates every
     /// `chaos_steer_period` packets, forcing constant (flow, device)
-    /// migration pressure on the flow table's in-flight guard. Also
+    /// migration pressure on the flows' in-flight guards. Also
     /// lifts the host-core clamp on `workers`, so the churn runs
     /// genuinely multi-worker (oversubscribed) even on small CI hosts
     /// (0 = off; real runs leave it off).
@@ -218,8 +223,9 @@ pub struct Scenario {
     /// Entries per worker's flow cache (rounded up to a power of two,
     /// minimum 8). Ignored unless `flow_cache` is on.
     pub flow_cache_entries: usize,
-    /// Wire mode: MTU-class slots in the injector's slab buffer pool
-    /// (0 = the pool's default sizing). Frames are built in place
+    /// Wire mode: MTU-class slots in the packet source's slab buffer
+    /// pool (0 = sized from the ring mesh's in-flight bound, see
+    /// [`Injector::slab_config`]). Frames are built in place
     /// inside pre-registered slots and the slots recirculate through
     /// delivery/drop, so steady-state generation allocates nothing.
     /// Tests shrink this to force heap-fallback exhaustion on purpose.
@@ -382,16 +388,20 @@ struct DpPkt {
     hop_digest: u64,
     /// Hops folded into `hop_digest`.
     hops: u32,
-    /// In-flight guard of the most recent (flow, device) routing. Held
-    /// until the packet executes the *next* stage (see `prev_guard`),
-    /// or until delivery/drop.
-    guard: Option<Arc<InflightGuard>>,
-    /// The guard from the routing *before* `guard`, released once the
-    /// current stage has executed. Holding it across the hop is what
-    /// keeps all in-flight same-flow packets for a stage on one
+    /// The packet's flow record, looked up once at injection: every
+    /// steered hop routes on one of its per-device guards. `None` under
+    /// Replicate, which registers nowhere.
+    record: Option<Arc<FlowRecord>>,
+    /// Device (ifindex into `record`) of the most recent (flow, device)
+    /// routing, whose guard is held until the packet executes the
+    /// *next* stage (see `prev_guard`), or until delivery/drop.
+    guard: Option<u32>,
+    /// Device of the routing *before* `guard`, whose guard is released
+    /// once the current stage has executed. Holding it across the hop
+    /// is what keeps all in-flight same-flow packets for a stage on one
     /// upstream ring: the pair can't migrate while any packet sits
     /// between its routing decision and the next stage's completion.
-    prev_guard: Option<Arc<InflightGuard>>,
+    prev_guard: Option<u32>,
     /// The packet's Lamport clock: the latest audit ticket stamped on
     /// it, carried across ring hops (and, via the guard's release
     /// clock, across migrations) so the receiving worker's clock jumps
@@ -855,15 +865,17 @@ fn stage_table(split: bool) -> &'static [Stage] {
     }
 }
 
-/// Releases both in-flight guards a packet holds and hands its wire
-/// buffer back to the slab pool: the last step of every packet, whether
-/// it delivers or drops. `lc` is the retiring worker's Lamport clock
-/// (folded with the packet's own). Returns whether a pool-backed buffer
-/// was recycled.
+/// Releases both in-flight guards a packet holds, drops its flow
+/// record and hands its wire buffer back to the slab pool: the last
+/// step of every packet, whether it delivers or drops. `lc` is the
+/// retiring worker's Lamport clock (folded with the packet's own).
+/// Returns whether a pool-backed buffer was recycled.
 fn retire(pkt: &mut DpPkt, lc: u64) -> bool {
     let lc = lc.max(pkt.lc);
-    for guard in pkt.guard.take().into_iter().chain(pkt.prev_guard.take()) {
-        release(&guard, lc);
+    if let Some(record) = pkt.record.take() {
+        for dev in pkt.guard.take().into_iter().chain(pkt.prev_guard.take()) {
+            release(record.guard(dev), lc);
+        }
     }
     pkt.desc
         .wire
@@ -1052,7 +1064,6 @@ struct WorkerCtx {
     /// stage execution, never touched by another core.
     lc: u64,
     policy: Arc<Policy>,
-    flows: Arc<FlowTable>,
     depths: Arc<DepthGauge>,
     delivered: Arc<AtomicU64>,
     dropped: Arc<AtomicU64>,
@@ -1458,8 +1469,8 @@ impl WorkerCtx {
             // runs (or the packet delivers/drops). The release clock
             // makes this execution's ticket visible to whichever worker
             // a subsequent migration lands on.
-            if let Some(prev) = pkt.prev_guard.take() {
-                release(&prev, self.lc);
+            if let (Some(dev), Some(record)) = (pkt.prev_guard.take(), &pkt.record) {
+                release(record.guard(dev), self.lc);
             }
 
             if stage == last_stage {
@@ -1537,9 +1548,9 @@ impl WorkerCtx {
                 None => self.me,
                 Some(ifindex) => {
                     let dst = self.next_hop(&mut pkt, ifindex, done);
-                    // Guard boundary: the policy choice, flow-table
-                    // routing and hand-over-hand guard exchange since
-                    // the busy boundary.
+                    // Guard boundary: the policy choice, the guard's
+                    // routing CAS and hand-over-hand guard exchange
+                    // since the busy boundary.
                     let now = self.epoch.now_ns();
                     self.stats.stall.guard_wait_ns += now - *t;
                     *t = now;
@@ -1573,14 +1584,16 @@ impl WorkerCtx {
     /// The worker that runs the packet's next stage, at the steering
     /// point keyed by `ifindex`.
     ///
-    /// Replicate is SCR run-to-completion: the packet stays on the
-    /// worker it landed on — no policy choice, no flow-table
-    /// registration, no guards. Cross-worker state consistency is the
-    /// conntrack shards' job, not the steering layer's.
+    /// Replicate is SCR run-to-completion: its packets carry no flow
+    /// record, so the packet stays on the worker it landed on — no
+    /// policy choice, no registration, no guards. Cross-worker state
+    /// consistency is the conntrack shards' job, not the steering
+    /// layer's.
     ///
-    /// Vanilla and Falcon resolve the policy's preference, then the flow
-    /// table's order-safe verdict, and swap the new routing's guard in
-    /// hand over hand. The load signal folds this worker's own
+    /// Vanilla and Falcon resolve the policy's preference, then the
+    /// order-safe verdict of the hop device's guard in the packet's flow
+    /// record (one CAS), and swap the new routing's guard in hand over
+    /// hand. The load signal folds this worker's own
     /// staged-but-unpublished packets back in (`load_plus`), so the only
     /// staleness other workers' staging introduces is bounded by one
     /// NAPI budget per peer.
@@ -1596,9 +1609,9 @@ impl WorkerCtx {
             .seq
             .checked_div(self.chaos_steer_period)
             .map(|rot| (rot as usize + pkt.stage as usize) % self.outbound.len());
-        if self.policy.kind() == PolicyKind::Replicate {
+        let Some(record) = &pkt.record else {
             return chaos.unwrap_or(self.me);
-        }
+        };
         let mut choice = self.policy.choose_by(pkt.desc.rx_hash, ifindex, |c| {
             self.depths.load_plus(c, self.outbox[c].len())
         });
@@ -1609,7 +1622,7 @@ impl WorkerCtx {
         if choice.second {
             self.stats.second_choices += 1;
         }
-        let route = self.flows.route(pkt.desc.flow, ifindex, choice.worker);
+        let route = record.guard(ifindex).route(choice.worker);
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 done,
@@ -1639,7 +1652,7 @@ impl WorkerCtx {
         // Hand-over-hand: the old routing's guard becomes the
         // previous-hop hold, released only after the new stage
         // executes.
-        pkt.prev_guard = pkt.guard.replace(route.guard);
+        pkt.prev_guard = pkt.guard.replace(ifindex);
         // Fold the guard's release clock in: if this routing was a
         // migration, the drained predecessor's tickets now
         // happen-before everything this packet stamps next.
@@ -1678,10 +1691,11 @@ pub fn rss_hash_for_flow(flow: u64) -> u32 {
 /// The handle a packet source drives to push descriptors into a
 /// running pipeline. It owns the injector slot of the ring mesh
 /// (source index `n`) and replicates exactly what the synthetic
-/// injector does per packet: route through the [`FlowTable`], charge
-/// the depth gauge, and spin-then-drop on a full ring — so an external
-/// source (e.g. the live-socket rx thread) feeds the same stages,
-/// steering policies, and in-flight guard as every other run.
+/// injector does per packet: look the flow's record up in the
+/// [`FlowTable`] and route on its pNIC guard, charge the depth gauge,
+/// and spin-then-drop on a full ring — so an external source (e.g.
+/// the live-socket rx thread) feeds the same stages, steering
+/// policies, and in-flight guards as every other run.
 pub struct Injector {
     to_workers: Vec<Producer<DpPkt>>,
     policy: Arc<Policy>,
@@ -1705,6 +1719,8 @@ pub struct Injector {
     /// telemetry on, streamed as `"kind":"slab"` JSONL lines and
     /// `falcon_slab_*` Prometheus series.
     slab: Option<Arc<falcon_packet::SlabCounters>>,
+    /// The slab-pool sizing a packet source builds its pool with.
+    slab_config: falcon_packet::SlabConfig,
 }
 
 impl Injector {
@@ -1770,6 +1786,16 @@ impl Injector {
         Arc::clone(&self.rx_counters)
     }
 
+    /// The slab-pool sizing a packet source should build its buffer
+    /// pool with: `Scenario::slab_slots` MTU slots when set, else room
+    /// for every segment the rings, in-flight NAPI batches and outboxes
+    /// can hold at once (capped by the packet budget), so the steady
+    /// state never falls back to the heap. The synthetic source and the
+    /// ingest rx loop both use it.
+    pub fn slab_config(&self) -> falcon_packet::SlabConfig {
+        self.slab_config
+    }
+
     /// Attaches the source's slab-pool counters to the run: they land
     /// in [`RunOutput::slab`] at the end and, when the scenario has
     /// telemetry on, stream live through the sampler. Mirrors
@@ -1794,21 +1820,24 @@ impl Injector {
         // Replicate sprays packets across workers round-robin at the
         // injector — deliberately ignoring the flow hash, so a single
         // heavy flow spreads over every core instead of pinning its
-        // RSS core. No flow-table registration and no guard: SCR
-        // replaces serialization with per-worker state replicas.
-        let (dst, guard, lc) = if self.policy.kind() == PolicyKind::Replicate {
+        // RSS core. No flow record and no guard: SCR replaces
+        // serialization with per-worker state replicas.
+        let (dst, record, lc) = if self.policy.kind() == PolicyKind::Replicate {
             (
                 ((self.injected - 1) % self.to_workers.len() as u64) as usize,
                 None,
                 0,
             )
         } else {
+            // The packet's one flow-table lookup: every later hop routes
+            // on the record it carries.
+            let record = self.flows.record(flow);
             let want = self.policy.rss_worker(desc.rx_hash);
-            let route = self.flows.route(flow, PNIC_IF, want);
+            let route = record.guard(PNIC_IF).route(want);
             // The audit clock seeds from the guard: after an RSS
             // migration the receiving worker must stamp past the
             // drained predecessor's records.
-            (route.worker, Some(route.guard), route.lc)
+            (route.worker, Some(record), route.lc)
         };
         let now = self.epoch.now_ns();
         let mut pkt = DpPkt {
@@ -1819,7 +1848,8 @@ impl Injector {
             last_worker: usize::MAX,
             hop_digest: HOP_HASH_INIT,
             hops: 0,
-            guard,
+            guard: record.is_some().then_some(PNIC_IF),
+            record,
             prev_guard: None,
             lc,
             cache_key: None,
@@ -1879,19 +1909,28 @@ fn effective_workers(scenario: &Scenario) -> usize {
     }
 }
 
-/// Sizes the slab pool from the scenario's packet budget so the
-/// steady-state wire path never falls back to the heap.
+/// The slab-pool sizing every packet source uses: `slab_slots` MTU
+/// slots when the scenario sets it, else enough that the steady-state
+/// wire path never falls back to the heap. `n` is the run's worker
+/// count ([`effective_workers`], passed in because resolving it reads
+/// the host's CPU quota).
 ///
 /// The number of segments alive at once is bounded by what the rings
-/// and in-flight batches can hold: each of the `n` workers has `n + 1`
-/// inbound rings (peers + injector) of `ring_capacity` slots, plus a
-/// NAPI batch and an outbox per peer in flight on each worker, plus
+/// and in-flight batches can hold: each of the `n` workers has `n`
+/// inbound rings that carry packets (the injector's and one per other
+/// worker; its ring from itself stays empty, since a hop to the same
+/// worker continues locally) of `ring_capacity` slots, plus a NAPI
+/// batch and an outbox per peer in flight on each worker, plus
 /// injector slack. Short runs need no more than every packet resident
 /// simultaneously, so take the min of the two bounds, convert packets
 /// to wire segments per the traffic shape, and cap at 64 Ki slots so a
 /// huge `packets` budget can't balloon the pool.
-fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
-    let n = effective_workers(scenario);
+fn slab_config_for(scenario: &Scenario, n: usize) -> falcon_packet::SlabConfig {
+    let mut cfg = falcon_packet::SlabConfig::default();
+    if scenario.slab_slots > 0 {
+        cfg.mtu_slots = scenario.slab_slots;
+        return cfg;
+    }
     let (seg_payload, segs_per_pkt) = match scenario.shape {
         TrafficShape::Udp => (scenario.payload, 1),
         TrafficShape::TcpGro { mss } => (
@@ -1900,7 +1939,7 @@ fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
         ),
     };
     let inflight_pkts =
-        (n + 1) * n * scenario.ring_capacity + n * (n + 1) * scenario.napi_budget.max(1) + 64;
+        n * n * scenario.ring_capacity + n * (n + 1) * scenario.napi_budget.max(1) + 64;
     let slots = (scenario.packets as usize)
         .min(inflight_pkts)
         .saturating_mul(segs_per_pkt)
@@ -1913,6 +1952,7 @@ fn size_slab_for(scenario: &Scenario, cfg: &mut falcon_packet::SlabConfig) {
     } else {
         cfg.jumbo_slots = cfg.jumbo_slots.max(slots);
     }
+    cfg
 }
 
 /// The synthetic in-process packet source [`run_scenario`] runs:
@@ -1930,13 +1970,7 @@ fn synthetic_source(scenario: &Scenario, inj: &mut Injector) -> u64 {
     let mut corruptor = Corruptor::new(scenario.wire_seed, scenario.corrupt_per_million);
     let mut seqs = vec![0u64; scenario.flows.max(1) as usize];
     let mut slab = scenario.wire.then(|| {
-        let mut cfg = falcon_packet::SlabConfig::default();
-        if scenario.slab_slots > 0 {
-            cfg.mtu_slots = scenario.slab_slots;
-        } else {
-            size_slab_for(scenario, &mut cfg);
-        }
-        let pool = falcon_packet::SlabPool::new(cfg);
+        let pool = falcon_packet::SlabPool::new(inj.slab_config());
         inj.attach_slab_counters(pool.counters());
         (pool, falcon_wire::SlabFrameBuilder::new(factory))
     });
@@ -2137,7 +2171,6 @@ where
             epoch,
             lc: 0,
             policy: Arc::clone(&policy),
-            flows: Arc::clone(&flows),
             depths: Arc::clone(&depths),
             delivered: Arc::clone(&delivered),
             dropped: Arc::clone(&dropped),
@@ -2198,6 +2231,7 @@ where
         let rx_counters = Arc::clone(&rx_counters);
         let inj_fdb = wire_setup.as_ref().map(|(_, fdb)| Arc::clone(fdb));
         let trace_capacity = scenario.trace_capacity;
+        let slab_config = slab_config_for(scenario, n);
         std::thread::Builder::new()
             .name("dp-injector".to_string())
             .spawn(move || {
@@ -2223,6 +2257,7 @@ where
                     inject_drops: 0,
                     bytes_injected: 0,
                     slab: None,
+                    slab_config,
                 };
                 let result = source(&mut inj);
                 let Injector {
@@ -2427,6 +2462,41 @@ mod tests {
         let (checks, violations) = out.order_audit();
         assert!(checks > 0);
         assert_eq!(violations, 0, "split pipeline must never reorder");
+    }
+
+    /// `flow_pairs` counts the (flow, device) pairs a run routed: every
+    /// flow registers at the pNIC (RSS) and at each steered hop, so the
+    /// four-stage pipeline routes 3 pairs per flow and the split one 4,
+    /// under both serializing policies. Replicate routes nothing.
+    #[test]
+    fn flow_pairs_count_every_routed_device() {
+        for split in [false, true] {
+            for policy in [
+                PolicyKind::Vanilla,
+                PolicyKind::Falcon,
+                PolicyKind::Replicate,
+            ] {
+                let mut s = quick(policy, 2);
+                s.flows = 5;
+                if split {
+                    s.split_gro = true;
+                    s.shape = TrafficShape::TcpGro { mss: 1448 };
+                    s.payload = 4096;
+                }
+                let out = run_scenario(&s);
+                assert_eq!(out.delivered() + out.dropped(), out.injected);
+                let per_flow = match (policy, split) {
+                    (PolicyKind::Replicate, _) => 0,
+                    (_, false) => 3,
+                    (_, true) => 4,
+                };
+                assert_eq!(
+                    out.flow_pairs as u64,
+                    per_flow * s.flows,
+                    "{policy:?} split={split}"
+                );
+            }
+        }
     }
 
     /// The split half must be a real steering point: under Falcon the
@@ -2673,34 +2743,62 @@ mod tests {
             txs.push(tx);
             rxs.push(rx);
         }
+        // Every producer has pushed once before the consumer starts
+        // counting, and no producer runs more than `LEAD` attempts ahead
+        // of the slowest: every ring then sees the same offered load
+        // whichever threads the scheduler happens to run, so the shares
+        // measure the sweep order, not thread start-up or CPU placement.
+        const LEAD: u64 = 8;
+        let started = Arc::new(Barrier::new(PRODUCERS + 1));
+        let attempts: Arc<Vec<AtomicU64>> =
+            Arc::new((0..PRODUCERS).map(|_| AtomicU64::new(0)).collect());
         let producers: Vec<_> = txs
             .into_iter()
-            .map(|mut tx| {
+            .enumerate()
+            .map(|(p, mut tx)| {
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
+                let attempts = Arc::clone(&attempts);
                 std::thread::spawn(move || {
+                    tx.try_push(0).expect("empty ring takes the first push");
+                    started.wait();
                     // Open loop with tail drops, like a saturated
                     // steering hop; yield on full so the single-core CI
                     // host interleaves producers and consumer.
-                    let mut i = 0u64;
+                    let mut i = 1u64;
                     while !stop.load(Ordering::Acquire) {
+                        let slowest = attempts.iter().map(|a| a.load(Ordering::Acquire)).min();
+                        if slowest.is_some_and(|m| m + LEAD < i) {
+                            std::thread::yield_now();
+                            continue;
+                        }
                         if tx.try_push(i).is_err() {
                             std::thread::yield_now();
                         }
-                        i = i.wrapping_add(1);
+                        attempts[p].store(i, Ordering::Release);
+                        i += 1;
                     }
                 })
             })
             .collect();
+        started.wait();
         let mut accepted = vec![0u64; PRODUCERS];
         let mut batch = Vec::with_capacity(8);
         let mut sweep = 0u64;
         while accepted.iter().sum::<u64>() < TARGET {
+            let mut got_any = false;
             for src in sweep_order(sweep, PRODUCERS) {
                 let got = rxs[src].pop_batch(&mut batch, 8);
                 accepted[src] += got as u64;
+                got_any |= got > 0;
                 batch.clear();
             }
             sweep += 1;
+            // An empty sweep backs off like an idle worker, handing the
+            // core to a producer the others are waiting for.
+            if !got_any {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Release);
         for h in producers {

@@ -16,10 +16,14 @@
 //! Because the balancer reads volatile depths, its preferred target for
 //! a (flow, device) pair can change between packets — exactly the
 //! hazard "Why Does Flow Director Cause Packet Reordering?" describes.
-//! The [`FlowTable`] closes it the way the kernel's `rps_dev_flow`
+//! The [`InflightGuard`] closes it the way the kernel's `rps_dev_flow`
 //! qtail check does: a (flow, device) pair may only migrate to a new
-//! worker when it has zero packets in flight at that stage. The
-//! in-flight count is a shared atomic each packet carries a handle to.
+//! worker when it has zero packets in flight at that stage. The guard
+//! packs the pair's sticky worker and in-flight count into one atomic
+//! word, so routing is a single CAS. A flow's guards live in one
+//! `FlowRecord`; the [`FlowTable`] maps flow ids to records, and the
+//! executor looks a record up once per packet, at injection, after
+//! which the packet points at its flow's guards directly.
 //! Unlike the kernel — where one backlog per CPU makes "drained" safe
 //! on its own — the executor's per-(src, dst) ring mesh means packets
 //! arriving from different upstream workers travel on different FIFOs,
@@ -28,7 +32,8 @@
 //! one. See `executor::DpPkt::prev_guard` for the full argument.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use falcon::balance::falcon_choices_by;
@@ -345,10 +350,16 @@ impl Policy {
     }
 }
 
+/// Worker half of the state word of a pair that has never been routed.
+const UNSET: u64 = u32::MAX as u64;
+/// The in-flight count: the low half of the state word.
+const COUNT_MASK: u64 = u32::MAX as u64;
+
 /// The shared in-flight state of one (flow, device) registration: the
-/// packet count that blocks migration, plus a Lamport-clock high-water
-/// mark that threads the ordering audit's happens-before chain through
-/// migrations.
+/// sticky worker and the packet count that blocks migration, packed
+/// into one word so routing reads and updates both with one CAS, plus a
+/// Lamport-clock high-water mark that threads the ordering audit's
+/// happens-before chain through migrations.
 ///
 /// The clock is what lets the audit ticket be *per-worker* instead of
 /// a run-global RMW (the old design's hottest shared cache line: two
@@ -359,26 +370,99 @@ impl Policy {
 /// one remaining cross-worker edge — a migration, where packet B may
 /// execute a checkpoint on a different worker than packet A did,
 /// linked only by "A's guard drained before B routed". The releaser
-/// folds its clock in *before* the `Release` decrement of `count`; a
-/// router that observes `count == 0` with `Acquire` therefore also
-/// observes the clock, and hands it to the routed packet. Every
+/// folds its clock in *before* the `Release` decrement of the state
+/// word; a router whose `AcqRel` CAS observes a count of zero therefore
+/// also observes the clock, and hands it to the routed packet. Every
 /// happens-before path between two executions at one (flow,
 /// checkpoint) — same-thread program order, ring handoff, or guard
 /// drain — thus forces strictly increasing ticket values, so sorting
 /// the merged logs by (clock, worker) reconstructs the true order
 /// without any run-global synchronization.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct InflightGuard {
-    /// Packets currently in flight under this registration.
-    count: AtomicU32,
+    /// Sticky worker in the high half (`UNSET` until first routed),
+    /// packets in flight under this registration in the low half.
+    state: AtomicU64,
     /// Lamport-clock high-water mark of completed releases.
     release_lc: AtomicU64,
+}
+
+impl Default for InflightGuard {
+    fn default() -> Self {
+        InflightGuard {
+            state: AtomicU64::new(UNSET << 32),
+            release_lc: AtomicU64::new(0),
+        }
+    }
+}
+
+/// Where one registration at a guard placed its packet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    /// Worker the packet must be enqueued to.
+    pub(crate) worker: usize,
+    /// Whether this packet moved the pair to a new worker.
+    pub(crate) migrated: bool,
+    /// Lamport clock observed at routing; the packet must fold this
+    /// into its own clock so executions after a migration tick later
+    /// than everything the drained guard completed.
+    pub(crate) lc: u64,
 }
 
 impl InflightGuard {
     /// Current in-flight count (tests and diagnostics).
     pub fn in_flight(&self) -> u32 {
-        self.count.load(Ordering::Acquire)
+        (self.state.load(Ordering::Acquire) & COUNT_MASK) as u32
+    }
+
+    /// Whether any packet has been routed through this pair.
+    fn routed(&self) -> bool {
+        self.state.load(Ordering::Relaxed) >> 32 != UNSET
+    }
+
+    /// Registers one packet at this (flow, device) pair, given the
+    /// policy's preferred worker, in one CAS on the state word. A new
+    /// pair takes `want`; an established pair keeps its worker until it
+    /// has zero packets in flight, then migrates to `want`. Either way
+    /// the count goes up by one, and the consumer must [`release`] it.
+    #[inline]
+    pub(crate) fn route(&self, want: usize) -> Placement {
+        debug_assert!((want as u64) < UNSET, "worker id collides with UNSET");
+        let want = want as u64;
+        let mut cur = self.state.load(Ordering::Relaxed);
+        loop {
+            let (worker, count) = (cur >> 32, cur & COUNT_MASK);
+            let migrated = worker != UNSET && worker != want && count == 0;
+            let worker = if worker == UNSET || migrated {
+                want
+            } else {
+                worker
+            };
+            let next = (worker << 32) | (count + 1);
+            match self
+                .state
+                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed)
+            {
+                Ok(_) => {
+                    // The successful CAS acquired every release that
+                    // preceded it, so if it saw a count of zero this
+                    // read is ordered after every drained release's
+                    // fold-in, and a migrated packet inherits a clock
+                    // later than everything that drained. When the
+                    // count was nonzero the pair could not migrate and
+                    // same-worker program order carries the
+                    // happens-before instead; the clock is then merely
+                    // a harmless extra lower bound.
+                    let lc = self.release_lc.load(Ordering::Relaxed);
+                    return Placement {
+                        worker: worker as usize,
+                        migrated,
+                        lc,
+                    };
+                }
+                Err(seen) => cur = seen,
+            }
+        }
     }
 }
 
@@ -408,21 +492,69 @@ pub struct Route {
 #[inline]
 pub fn release(guard: &InflightGuard, lc: u64) {
     guard.release_lc.fetch_max(lc, Ordering::Relaxed);
-    guard.count.fetch_sub(1, Ordering::Release);
+    guard.state.fetch_sub(1, Ordering::Release);
 }
 
-#[derive(Debug)]
-struct FlowEntry {
-    worker: usize,
-    inflight: Arc<InflightGuard>,
+/// Steering devices a `FlowRecord` holds a guard for: ifindex
+/// `1..=STEER_DEVICES` (the pNIC, vxlan, veth and split-GRO devices of
+/// the executor).
+pub(crate) const STEER_DEVICES: usize = 4;
+
+/// One flow's in-flight guards, one per steering device. The executor
+/// finds a flow's record once per packet, at injection, and the packet
+/// carries it through the pipeline: every later hop routes with one CAS
+/// on a guard the packet already points to, with no lookup, lock or
+/// reference count. Each guard has its own `Arc` so that
+/// [`FlowTable::route`] can hand one out on its own.
+#[derive(Debug, Default)]
+pub(crate) struct FlowRecord {
+    guards: [Arc<InflightGuard>; STEER_DEVICES],
 }
+
+impl FlowRecord {
+    /// The guard of steering device `ifindex` (`1..=STEER_DEVICES`).
+    #[inline]
+    pub(crate) fn guard(&self, ifindex: u32) -> &Arc<InflightGuard> {
+        &self.guards[ifindex as usize - 1]
+    }
+}
+
+/// Fibonacci hashing of a flow id: one multiply, with the high half
+/// folded into the low so both the table's bucket index (low bits) and
+/// its control tag (high bits) vary. Both steps are bijections, so
+/// distinct flow ids never share a hash; ids are dense counters, or a
+/// 16-bit port on the ingest path, so crafted bucket collisions stay
+/// bounded by that range and SipHash's rounds buy nothing here.
+#[derive(Debug, Default)]
+struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type RecordMap = HashMap<u64, Arc<FlowRecord>, BuildHasherDefault<FlowHasher>>;
 
 /// The global sticky (flow, device) → worker table with in-flight
-/// migration protection. Sharded mutexes: one short critical section
-/// per stage transition, like the kernel's per-table RPS flow state.
+/// migration protection: flow id → `FlowRecord`. The record holds the
+/// per-device guards, and routing is the guard's CAS, so the table is
+/// only a lookup. In the executor only the injector looks anything up
+/// (once per packet), so the shard locks are uncontended.
 #[derive(Debug)]
 pub struct FlowTable {
-    shards: Vec<Mutex<HashMap<(u64, u32), FlowEntry>>>,
+    shards: Vec<Mutex<RecordMap>>,
 }
 
 impl FlowTable {
@@ -431,55 +563,53 @@ impl FlowTable {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         FlowTable {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::default()).collect(),
         }
     }
 
-    fn shard(&self, flow: u64, ifindex: u32) -> &Mutex<HashMap<(u64, u32), FlowEntry>> {
-        let mixed = (flow ^ ((ifindex as u64) << 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn shard(&self, flow: u64) -> &Mutex<RecordMap> {
+        let mixed = flow.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let idx = (mixed >> 48) as usize & (self.shards.len() - 1);
         &self.shards[idx]
     }
 
+    /// The record of `flow`, created on first sight.
+    pub(crate) fn record(&self, flow: u64) -> Arc<FlowRecord> {
+        let mut map = self.shard(flow).lock().expect("unpoisoned shard");
+        Arc::clone(map.entry(flow).or_default())
+    }
+
     /// Resolves where a (flow, device) packet runs, given the policy's
-    /// preferred worker. The preference is honored immediately for new
-    /// pairs; an established pair follows its current worker until it
-    /// has zero packets in flight, then migrates. The returned route
-    /// has one in-flight registration the consumer must [`release`].
+    /// preferred worker: the flow's record, then the device guard's
+    /// routing CAS. The returned route has one in-flight
+    /// registration the consumer must [`release`].
     pub fn route(&self, flow: u64, ifindex: u32, want: usize) -> Route {
-        let mut map = self.shard(flow, ifindex).lock().expect("unpoisoned shard");
-        let entry = map.entry((flow, ifindex)).or_insert_with(|| FlowEntry {
-            worker: want,
-            inflight: Arc::new(InflightGuard::default()),
-        });
-        let mut migrated = false;
-        if entry.worker != want && entry.inflight.count.load(Ordering::Acquire) == 0 {
-            entry.worker = want;
-            migrated = true;
-        }
-        entry.inflight.count.fetch_add(1, Ordering::AcqRel);
-        // Reading the release clock after the count check means: if the
-        // count read 0, this read is ordered after every prior
-        // release's fold-in (Acquire on count syncs with the Release
-        // decrement), so a migrated packet inherits a clock later than
-        // everything that drained. When the count was nonzero the pair
-        // could not migrate and same-worker program order carries the
-        // happens-before instead; the (possibly stale) clock read is
-        // then merely a harmless extra lower bound.
-        let lc = entry.inflight.release_lc.load(Ordering::Relaxed);
+        let record = self.record(flow);
+        let guard = record.guard(ifindex);
+        let Placement {
+            worker,
+            migrated,
+            lc,
+        } = guard.route(want);
         Route {
-            worker: entry.worker,
-            guard: Arc::clone(&entry.inflight),
+            worker,
+            guard: Arc::clone(guard),
             migrated,
             lc,
         }
     }
 
-    /// Total (flow, device) pairs tracked.
+    /// Total (flow, device) pairs routed so far.
     pub fn pairs(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("unpoisoned shard").len())
+            .map(|s| {
+                let map = s.lock().expect("unpoisoned shard");
+                map.values()
+                    .flat_map(|r| &r.guards)
+                    .filter(|g| g.routed())
+                    .count()
+            })
             .sum()
     }
 }
@@ -609,6 +739,72 @@ mod tests {
         let c = t.route(2, 2, 2);
         assert_eq!((a.worker, b.worker, c.worker), (0, 1, 2));
         assert_eq!(t.pairs(), 3);
+    }
+
+    /// Four threads route, hold and release one (flow, device) pair,
+    /// each asking for a different worker every time. While a thread
+    /// holds its registration, every other held registration must sit
+    /// on the same worker: a migration is only legal with nothing in
+    /// flight. A migrated route must inherit the clock of every release
+    /// that drained before it.
+    #[test]
+    fn guard_cas_never_migrates_a_held_pair() {
+        const THREADS: usize = 4;
+        const ROUNDS: u64 = 20_000;
+        let table = FlowTable::new(4);
+        let holders: Vec<AtomicUsize> = (0..THREADS).map(|_| AtomicUsize::new(0)).collect();
+        let max_released = AtomicU64::new(0);
+        let migrations = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (table, holders) = (&table, &holders);
+                let (max_released, migrations) = (&max_released, &migrations);
+                s.spawn(move || {
+                    let mut lc = 0u64;
+                    for i in 0..ROUNDS {
+                        let want = (t + i as usize) % THREADS;
+                        let r = table.route(7, 3, want);
+                        if r.migrated {
+                            assert_eq!(r.worker, want);
+                            assert!(r.lc >= lc, "migration lost this thread's own release clock");
+                            migrations.fetch_add(1, Ordering::Relaxed);
+                        }
+                        holders[r.worker].fetch_add(1, Ordering::SeqCst);
+                        for (w, h) in holders.iter().enumerate() {
+                            if w != r.worker {
+                                assert_eq!(
+                                    h.load(Ordering::SeqCst),
+                                    0,
+                                    "pair held on worker {w} while routed to {}",
+                                    r.worker
+                                );
+                            }
+                        }
+                        std::hint::spin_loop();
+                        holders[r.worker].fetch_sub(1, Ordering::SeqCst);
+                        lc = lc.max(r.lc) + 1;
+                        max_released.fetch_max(lc, Ordering::Relaxed);
+                        release(&r.guard, lc);
+                    }
+                });
+            }
+        });
+        let guard = Arc::clone(table.record(7).guard(3));
+        assert_eq!(guard.in_flight(), 0, "every registration released");
+        assert!(
+            migrations.load(Ordering::Relaxed) > 0,
+            "the pair never moved"
+        );
+        assert_eq!(table.pairs(), 1);
+        // Drained: the next route for another worker migrates and
+        // carries the highest clock any thread released with.
+        let current = table.route(7, 3, 0).worker;
+        release(&guard, 0);
+        let moved = table.route(7, 3, (current + 1) % THREADS);
+        assert!(moved.migrated);
+        assert_eq!(moved.lc, max_released.load(Ordering::Relaxed));
+        release(&moved.guard, 0);
+        assert_eq!(guard.in_flight(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use falcon_dataplane::{rss_hash_for_flow, Injector};
-use falcon_packet::{PktDesc, SlabConfig, SlabPool};
+use falcon_packet::{PktDesc, SlabPool};
 
 use crate::rx::{BatchRx, RecvBatch};
 
@@ -94,7 +94,10 @@ pub fn rx_into_pipeline(
     cfg: &RxConfig,
 ) -> RxStats {
     let counters = inj.enable_rx_telemetry();
-    let mut batch = RecvBatch::with_pool(cfg.batch, SlabPool::new(SlabConfig::default()));
+    // The same pool sizing the synthetic source gets: room for every
+    // datagram the pipeline can hold in flight, so no slot falls back
+    // to the heap.
+    let mut batch = RecvBatch::with_pool(cfg.batch, SlabPool::new(inj.slab_config()));
     if let Some(pool) = batch.pool() {
         inj.attach_slab_counters(pool.counters());
     }

@@ -60,6 +60,14 @@
 //! a stage always share one upstream worker, hence one FIFO ring.
 //! (The kernel's `rps_dev_flow` qtail check gets this for free from the
 //! single per-CPU backlog; the ring mesh has to buy it explicitly.)
+//!
+//! A worker reads the clock once per attribution boundary (ring poll,
+//! stage completion, steered hop, batch flush, idle step) and charges
+//! the span since the previous boundary to one stall bucket. Stage
+//! service runs boundary to boundary: a stage starts at the previous
+//! boundary and completes at the read that finds its deadline, start
+//! plus the owed modeled budget, passed. A native stage (no budget)
+//! therefore costs one clock read, and a steered hop one more.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -424,7 +432,11 @@ pub struct WorkerStats {
     pub delivered: u64,
     /// Drops by [`DropReason`] index.
     pub drops: [u64; DropReason::ALL.len()],
-    /// Real ns this worker spent busy-spinning stage work.
+    /// Real ns this worker spent running stages. A stage's service runs
+    /// boundary to boundary: from the attribution boundary before it
+    /// (ring poll, previous stage or steering hop) to its completion,
+    /// so it includes the per-packet bookkeeping since that boundary.
+    /// The same spans make up `stall.busy_ns`, so the two are equal.
     pub busy_ns: u64,
     /// Steering decisions taken (the A1→A2, B→C and C→D hops).
     pub decisions: u64,
@@ -480,9 +492,7 @@ pub struct WorkerStats {
     /// attribution buckets (busy work, stalled pushing into a full
     /// downstream ring, popping upstream rings, guard/steering
     /// bookkeeping, idle backoff) — the buckets sum to `stall.wall_ns`
-    /// by construction. Unlike `busy_ns` (pure stage-spin time, kept
-    /// for goodput math), `stall.busy_ns` also absorbs the per-packet
-    /// bookkeeping that surrounds the spin.
+    /// by construction.
     pub stall: StallBreakdown,
 }
 
@@ -1198,7 +1208,8 @@ impl WorkerCtx {
     /// consumer decrements after pop, so counting after a successful
     /// publish could race that decrement and underflow), one batched
     /// ring publish, then exact tail-drop accounting for whatever the
-    /// full ring rejected.
+    /// full ring rejected. The clock is read only for a timestamp some
+    /// event needs: the traced enqueues, or the tail drops.
     fn flush_outbound(&mut self) {
         for dst in 0..self.outbound.len() {
             if self.outbox[dst].is_empty() {
@@ -1208,11 +1219,11 @@ impl WorkerCtx {
             let m = staged.len();
             self.depths.add(dst, m);
             self.depths.note_staleness(dst, m);
-            let now = self.epoch.now_ns();
             // Consumers may pop these the instant the publish lands, so
-            // anything needed for tracing the accepted prefix must be
-            // copied out first.
-            let meta: Vec<(u64, u64, u8)> = if self.tracer.is_enabled() {
+            // the traced enqueue time, and anything else needed to trace
+            // the accepted prefix, is taken first.
+            let traced_at = self.tracer.is_enabled().then(|| self.epoch.now_ns());
+            let meta: Vec<(u64, u64, u8)> = if traced_at.is_some() {
                 staged
                     .iter()
                     .map(|p| (p.desc.id.0, p.desc.flow, p.stage))
@@ -1222,7 +1233,7 @@ impl WorkerCtx {
             };
             let accepted = self.outbound[dst].push_batch(&mut staged);
             self.depths.sub(dst, m - accepted);
-            if self.tracer.is_enabled() {
+            if let Some(now) = traced_at {
                 let qlen = self.depths.depth(dst);
                 for &(pkt_id, flow, stage_in) in meta.iter().take(accepted) {
                     let queue = self.stages[stage_in as usize].queue;
@@ -1233,9 +1244,12 @@ impl WorkerCtx {
             // Tail drop, kernel style: the stage's input queue is full
             // and nobody retries. `staged` now holds exactly the
             // rejected suffix.
-            for pkt in staged.drain(..) {
-                let reason = self.stages[pkt.stage as usize].queue.drop_reason();
-                self.drop_packet(pkt, reason, dst, now);
+            if !staged.is_empty() {
+                let now = traced_at.unwrap_or_else(|| self.epoch.now_ns());
+                for pkt in staged.drain(..) {
+                    let reason = self.stages[pkt.stage as usize].queue.drop_reason();
+                    self.drop_packet(pkt, reason, dst, now);
+                }
             }
             // Hand the (emptied) buffer back so its capacity survives.
             self.outbox[dst] = staged;
@@ -1339,29 +1353,33 @@ impl WorkerCtx {
     /// the pipeline — inline while hops stay local, over a ring when
     /// they leave this worker.
     ///
-    /// `t` is the caller's chained attribution timestamp (see `run`):
-    /// stage completion charges `busy`, the steering block charges
-    /// `guard`, and whatever trails the last boundary rides into the
-    /// caller's next one.
+    /// `t` is the caller's chained attribution timestamp (see `run`).
+    /// Each stage starts at `t` and reads the clock once, at its
+    /// completion, charging `busy`; each steered hop reads it once more
+    /// and charges `guard`; whatever trails the last boundary rides into
+    /// the caller's next one.
     fn run_packet(&mut self, mut pkt: DpPkt, t: &mut u64) {
         let last_stage = (self.stage_ns.len() - 1) as u8;
         loop {
             let stage = pkt.stage;
             let cp = self.stages[stage as usize].checkpoint;
-            let start = self.epoch.now_ns();
+            // The stage starts at the previous attribution boundary, not
+            // at a fresh clock read: its service runs boundary to
+            // boundary and includes the per-packet bookkeeping since.
+            let start = *t;
             let queued_ns = start.saturating_sub(pkt.enqueued_ns);
-            let mut service_ns = self.stage_ns[stage as usize];
+            let mut owed_ns = self.stage_ns[stage as usize];
             if pkt.last_worker != usize::MAX && pkt.last_worker != self.me {
-                service_ns += self.locality_penalty_ns;
+                owed_ns += self.locality_penalty_ns;
             }
             // Wire mode: do the stage's real byte work first, then spin
             // out whatever remains of the modeled budget — the stage's
             // core occupancy stays calibrated to the cost model while
             // the bytes stay honest. A fresh flow-cache hit at the
-            // decap or bridge stage skips the budget too: the cached
-            // verdict replaces that stage's kernel work outright.
+            // decap or bridge stage owes no budget: the cached verdict
+            // replaces that stage's kernel work outright, which is
+            // where the cache buys goodput.
             let mut delivery = None;
-            let mut cache_hit_skip = false;
             if let Some(wire) = self.wire.as_ref() {
                 let work = self.stages[stage as usize].wire;
                 let cache = self.cache.as_mut();
@@ -1380,47 +1398,39 @@ impl WorkerCtx {
                 match outcome {
                     Ok((d, skip, touched)) => {
                         delivery = d;
-                        cache_hit_skip = skip;
+                        if skip {
+                            owed_ns = 0;
+                        }
                         self.stats.bytes_per_stage[stage as usize] += touched;
                     }
                     Err(_malformed) => {
                         // The frame failed this stage's verification:
                         // drop it here, kernel style (no budget spin —
                         // a drop frees the core early). Both held
-                        // routings release so the flow can migrate.
+                        // routings release so the flow can migrate. One
+                        // read is both the busy boundary and the drop's
+                        // timestamp.
                         let now = self.epoch.now_ns();
-                        let wire_ns = now.saturating_sub(start);
-                        self.stats.busy_ns += wire_ns;
-                        self.stats.stall.busy_ns += now - *t;
+                        self.stats.busy_ns += now - start;
+                        self.stats.stall.busy_ns += now - start;
                         *t = now;
                         self.stats.malformed_per_stage[stage as usize] += 1;
-                        let at_ns = self.epoch.now_ns();
-                        self.drop_packet(pkt, DropReason::Malformed, self.me, at_ns);
+                        self.drop_packet(pkt, DropReason::Malformed, self.me, now);
                         return;
                     }
                 }
             }
-            let spun = if self.wire.is_some() {
-                let wire_ns = self.epoch.now_ns().saturating_sub(start);
-                if cache_hit_skip {
-                    // Fresh flow-cache hit at decap/bridge: the cached
-                    // verdict replaced the stage's kernel work, so the
-                    // modeled budget is genuinely not owed. This is
-                    // where the cache buys goodput.
-                    wire_ns
-                } else {
-                    wire_ns + spin_for_ns(service_ns.saturating_sub(wire_ns))
-                }
-            } else {
-                spin_for_ns(service_ns)
-            };
-            let done = self.epoch.now_ns();
-            // Busy boundary: the stage spin plus all per-packet
-            // bookkeeping since the previous boundary.
-            self.stats.stall.busy_ns += done - *t;
+            // Busy boundary: spin to the deadline the owed budget sets
+            // from the stage's start. The spin's last read (the only one
+            // when nothing is owed) is the stage's completion, so a
+            // modeled stage occupies its core for at least its budget
+            // and a native one costs a single clock read.
+            let done = self.epoch.spin_until(start + owed_ns);
+            let spun = done - start;
+            self.stats.busy_ns += spun;
+            self.stats.stall.busy_ns += spun;
             *t = done;
             self.stats.processed[stage as usize] += 1;
-            self.stats.busy_ns += spun;
             if self.telemetry.is_some() {
                 self.hist_scratch.push((stage, spun));
             }
@@ -2945,6 +2955,74 @@ mod tests {
         // The wire carries per-segment headers, so bytes in exceeds
         // payload × packets.
         assert!(out.bytes_injected > out.injected * s.payload as u64);
+    }
+
+    /// With one worker the two-choice rehash can only name the same
+    /// worker, so Falcon skips it: no load read, no second choice, and
+    /// still one decision per steered hop.
+    #[test]
+    fn one_worker_falcon_takes_no_second_choice() {
+        let mut s = quick(PolicyKind::Falcon, 1);
+        s.wire = true;
+        s.packets = 1_000;
+        let out = run_scenario(&s);
+        assert_eq!(out.workers, 1);
+        assert_eq!(out.dropped(), 0, "pristine single-worker run is drop-free");
+        let w = &out.workers_stats[0];
+        assert_eq!(w.second_choices, 0);
+        let steered: u64 = FOUR_STAGES
+            .iter()
+            .zip(&w.processed)
+            .filter(|(stage, _)| stage.steer.is_some())
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(w.decisions, steered, "one decision per steered hop");
+        assert_eq!(w.decisions, 2 * out.injected);
+    }
+
+    /// Stage service runs boundary to boundary, so the recorded service
+    /// and the stall ledger's busy bucket are the same spans, equal to
+    /// the nanosecond whatever the policy, cache or drops. A modeled
+    /// run's service still covers every stage's budget.
+    #[test]
+    fn stage_service_is_the_busy_bucket() {
+        for policy in [PolicyKind::Vanilla, PolicyKind::Falcon] {
+            for (flow_cache, corrupt_per_million) in [(false, 0), (true, 0), (false, 300_000)] {
+                let mut s = quick(policy, 2);
+                s.wire = true;
+                s.work_scale_milli = 0;
+                s.packets = 1_000;
+                s.flows = 4;
+                s.flow_cache = flow_cache;
+                s.corrupt_per_million = corrupt_per_million;
+                let out = run_scenario(&s);
+                assert_eq!(out.delivered() + out.dropped(), out.injected);
+                for (i, w) in out.workers_stats.iter().enumerate() {
+                    assert_eq!(
+                        w.busy_ns, w.stall.busy_ns,
+                        "{policy:?} cache {flow_cache} corrupt {corrupt_per_million}: worker {i}"
+                    );
+                }
+            }
+        }
+        let mut s = quick(PolicyKind::Falcon, 2);
+        s.wire = true;
+        s.packets = 600;
+        let out = run_scenario(&s);
+        for (i, w) in out.workers_stats.iter().enumerate() {
+            let budget: u64 = w
+                .processed
+                .iter()
+                .zip(&out.stage_ns)
+                .map(|(n, ns)| n * ns)
+                .sum();
+            assert!(
+                w.busy_ns >= budget,
+                "worker {i}: {} < budget {budget}",
+                w.busy_ns
+            );
+            assert_eq!(w.busy_ns, w.stall.busy_ns, "modeled worker {i}");
+        }
     }
 
     #[test]

@@ -30,6 +30,26 @@ impl Epoch {
     pub fn now_ns(&self) -> u64 {
         self.0.elapsed().as_nanos() as u64
     }
+
+    /// Busy-spins until epoch time `deadline_ns` and returns the time of
+    /// the read that found it passed (≥ `deadline_ns`). A deadline
+    /// already in the past costs exactly one clock read, so the caller
+    /// gets its boundary timestamp from the spin instead of reading the
+    /// clock again.
+    #[inline]
+    pub fn spin_until(&self, deadline_ns: u64) -> u64 {
+        loop {
+            let now = self.now_ns();
+            if now >= deadline_ns {
+                return now;
+            }
+            // A few pause hints between clock reads keep the loop polite
+            // to SMT siblings without losing deadline precision.
+            for _ in 0..8 {
+                std::hint::spin_loop();
+            }
+        }
+    }
 }
 
 impl Default for Epoch {
@@ -45,19 +65,7 @@ pub fn spin_for_ns(ns: u64) -> u64 {
     if ns == 0 {
         return 0;
     }
-    let start = Instant::now();
-    let target = Duration::from_nanos(ns);
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= target {
-            return elapsed.as_nanos() as u64;
-        }
-        // A few pause hints between clock reads keep the loop polite to
-        // SMT siblings without losing deadline precision.
-        for _ in 0..8 {
-            std::hint::spin_loop();
-        }
-    }
+    Epoch::start().spin_until(ns)
 }
 
 /// Which tier an idle step landed in. Ordered by escalation.
@@ -169,6 +177,30 @@ mod tests {
         assert_eq!(b.idle(), IdleTier::Park, "stays parked while idle");
         b.reset();
         assert_eq!(b.idle(), IdleTier::Spin, "work snaps back to hot tier");
+    }
+
+    #[test]
+    fn spin_until_meets_its_deadline() {
+        let e = Epoch::start();
+        let deadline = e.now_ns() + 200_000;
+        let done = e.spin_until(deadline);
+        assert!(done >= deadline, "returned early: {done} < {deadline}");
+        assert!(e.now_ns() >= done, "returned a time from the future");
+    }
+
+    #[test]
+    fn spin_until_a_past_deadline_returns_now() {
+        let e = Epoch::start();
+        spin_for_ns(50_000);
+        let before = e.now_ns();
+        let done = e.spin_until(10_000);
+        let after = e.now_ns();
+        // No spin toward the stale deadline: the one read lands between
+        // the reads around it.
+        assert!(
+            (before..=after).contains(&done),
+            "{before} <= {done} <= {after}"
+        );
     }
 
     #[test]

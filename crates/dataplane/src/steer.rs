@@ -263,7 +263,9 @@ impl Policy {
     /// Like [`Policy::new`], with the Falcon policy's depth-triggered
     /// two-choice rehash switched on or off (off = always the
     /// (flow, device) hash's first choice, load ignored). Vanilla
-    /// hashes unconditionally and ignores the flag.
+    /// hashes unconditionally and ignores the flag. A single worker
+    /// never rehashes: the second choice could only name the same
+    /// worker, so reading its load would buy nothing.
     pub fn with_two_choice(kind: PolicyKind, n_workers: usize, two_choice: bool) -> Self {
         match kind {
             PolicyKind::Vanilla => Policy::Vanilla {
@@ -272,7 +274,7 @@ impl Policy {
             PolicyKind::Falcon => Policy::Falcon {
                 config: FalconConfig::new(CpuSet::first_n(n_workers))
                     .with_always_on(true)
-                    .with_two_choice(two_choice),
+                    .with_two_choice(two_choice && n_workers > 1),
             },
             PolicyKind::Replicate => Policy::Replicate {
                 workers: CpuSet::first_n(n_workers),
@@ -704,6 +706,18 @@ mod tests {
         let calm = p.choose(h, dev, &depths);
         assert_eq!(calm.worker, 2);
         assert!(!calm.second);
+    }
+
+    #[test]
+    fn one_worker_falcon_never_reads_load_or_rehashes() {
+        let p = Policy::new(PolicyKind::Falcon, 1);
+        for h in 0..1_000u32 {
+            for dev in [2u32, 3, 4] {
+                let choice = p.choose_by(h, dev, |_| panic!("load read with one worker"));
+                assert_eq!(choice.worker, 0);
+                assert!(!choice.second);
+            }
+        }
     }
 
     #[test]
